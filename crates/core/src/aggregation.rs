@@ -39,6 +39,20 @@
 //! Both drivers issue the identical collective sequence, so file bytes,
 //! traces, and stats cannot diverge between them.
 //!
+//! ## Read path
+//!
+//! `Session::read_declared` serves the two-phase read through the same
+//! `CachedPart` state the write epochs keep — sub-communicator,
+//! aggregator, and the two-slot window — so repeated reads form no
+//! subgroups, run no elections, and allocate no windows. Without a
+//! cache (before the first epoch, or under a fault plan) the read runs
+//! the same prologue as a write epoch (`CachedPart::form`). Rounds are
+//! double-buffered like writes: the aggregator reads round `r + 1`
+//! from the file straight into one window slot while members `get`
+//! round `r` from the other, and one barrier closes each round (see
+//! `CachedPart::read_rounds`). Faults are not injected on the read
+//! path.
+//!
 //! ## Fault handling
 //!
 //! When the config carries a [`tapioca_mpi::FaultPlan`], the pipeline
@@ -187,9 +201,9 @@ struct Flight {
 
 /// Settle one completed (or failed) zero-copy flush: nothing to do on
 /// success (the worker drained the window views in place); on failure,
-/// fall back to a synchronous direct write of the same bytes, re-read
-/// from the window slot — it is only refilled two rounds after the
-/// flush launch, so its bytes are intact even after a timeout.
+/// fall back to a synchronous direct write of the same bytes, straight
+/// from the window slot's parts — the slot is only refilled two rounds
+/// after the flush launch, so its bytes are intact even after a timeout.
 fn settle_parts(
     err: Option<IoError>,
     seg: FlushSegment,
@@ -199,14 +213,17 @@ fn settle_parts(
     b: usize,
     file: &SharedFile,
 ) -> Result<()> {
-    match err {
-        None => Ok(()),
-        Some(_) => {
-            let mut d = vec![0u8; seg.len as usize];
-            win.read_local_into(my_idx, slot * b + seg.buf_offset as usize, &mut d);
-            file.write_at(seg.file_offset, &d).map_err(|e| io_err("write_at", e))
-        }
+    if err.is_none() {
+        return Ok(());
     }
+    let mut offset = seg.file_offset;
+    win.segment(my_idx, slot * b + seg.buf_offset as usize, seg.len as usize)
+        .for_each_part(|part| {
+            file.write_at(offset, part)?;
+            offset += part.len() as u64;
+            Ok(())
+        })
+        .map_err(|e| io_err("write_at", e))
 }
 
 /// Wait for one in-flight flush, then settle it (see [`settle_parts`]).
@@ -259,13 +276,127 @@ pub(crate) struct GatherCtx {
 /// the sub-communicator, the MINLOC winner and this rank's cost, the
 /// RMA window (with both pipeline buffers), and the coalescing gather
 /// state. Only cacheable for fault-free configs (a crash replaces the
-/// window mid-run).
+/// window mid-run). Write epochs and reads share it.
 pub(crate) struct CachedPart {
     pcomm: Comm,
     agg_idx: usize,
     my_cost: f64,
     win: Window,
     coalesce: Option<GatherCtx>,
+}
+
+impl CachedPart {
+    /// The collective prologue of partition `part`: form the
+    /// sub-communicator (keyed by `epoch`), elect the aggregator with
+    /// `allreduce(MINLOC)` over the placement cost, allocate the
+    /// two-slot paned window, and — when the coalesce plan has runs in
+    /// this partition — the gather window and deposit board.
+    pub(crate) fn form(
+        comm: &Comm,
+        part: &PartitionInfo,
+        cfg: &TapiocaConfig,
+        topo: &dyn TopologyProvider,
+        epoch: u64,
+        coalesce: Option<&Arc<CoalescePlan>>,
+    ) -> CachedPart {
+        let b = cfg.buffer_size as usize;
+        let pcomm = comm.subgroup(&part.members, subgroup_key(epoch, part.index));
+        let my_idx = pcomm.rank();
+
+        // Aggregator election: my cost, MINLOC across the partition.
+        let io = topo.io_nodes_for(&part.members).first().copied().unwrap_or(0);
+        let my_cost = election_cost(
+            topo,
+            &part.members,
+            &part.member_bytes,
+            io,
+            part.index,
+            cfg.strategy,
+            my_idx,
+        );
+        let (_, agg_idx) = pcomm.allreduce_min_loc(my_cost);
+        // One pane per pipeline slot: a flush draining slot A in place
+        // coexists with round r+1's puts filling slot B instead of
+        // serializing on one region lock.
+        let win = Window::allocate_paned(&pcomm, if my_idx == agg_idx { 2 * b } else { 0 }, b);
+        let coalesce = coalesce.and_then(|plan| {
+            if !plan.runs().iter().any(|run| run.partition == part.index) {
+                return None;
+            }
+            // Collective pair: every member agrees on whether the
+            // partition has runs (the plan is pure shared data) and
+            // passes through both allocations.
+            let leads = plan
+                .runs()
+                .iter()
+                .any(|run| run.partition == part.index && run.leader == part.members[my_idx]);
+            let gather =
+                Window::allocate_paned(&pcomm, if leads { b } else { 0 }, (b / 16).max(64));
+            let board = DepositBoard::allocate(&pcomm);
+            Some(GatherCtx { plan: Arc::clone(plan), gather, board })
+        });
+        CachedPart { pcomm, agg_idx, my_cost, win, coalesce }
+    }
+
+    /// Collective two-phase read of partition `part` through the
+    /// two-slot window, double-buffered: the aggregator reads each
+    /// round's segments from the file straight into slot `r % 2`
+    /// ([`Window::fill_local`]); members copy their chunks of round `r`
+    /// (this rank's slice `chunks`) into `out` with one-sided `get`s
+    /// while the aggregator already fills round `r + 1` into the other
+    /// slot. One barrier closes each round, and a slot is refilled only
+    /// after the barrier that closed its last read. Plain barriers, not
+    /// fences: the read records nothing into the write path's trace
+    /// lanes.
+    pub(crate) fn read_rounds(
+        &self,
+        part: &PartitionInfo,
+        chunks: &[Chunk],
+        file: &SharedFile,
+        b: usize,
+        out: &mut [Vec<u8>],
+    ) -> Result<()> {
+        let fill = |r: usize| -> Result<()> {
+            if self.pcomm.rank() != self.agg_idx {
+                return Ok(());
+            }
+            for seg in &part.rounds[r].segments {
+                let mut offset = seg.file_offset;
+                self.win
+                    .fill_local(
+                        self.agg_idx,
+                        (r % 2) * b + seg.buf_offset as usize,
+                        seg.len as usize,
+                        |dst| {
+                            file.read_into(offset, dst)?;
+                            offset += dst.len() as u64;
+                            Ok(())
+                        },
+                    )
+                    .map_err(|e| io_err("read_at", e))?;
+            }
+            Ok(())
+        };
+        let nrounds = part.rounds.len();
+        if nrounds > 0 {
+            fill(0)?;
+        }
+        self.pcomm.barrier();
+        for r in 0..nrounds {
+            if r + 1 < nrounds {
+                fill(r + 1)?;
+            }
+            for c in chunks.iter().filter(|c| c.round as usize == r) {
+                self.win.get_into(
+                    self.agg_idx,
+                    (r % 2) * b + c.buf_offset as usize,
+                    &mut out[c.var][c.var_offset as usize..(c.var_offset + c.len) as usize],
+                );
+            }
+            self.pcomm.barrier();
+        }
+        Ok(())
+    }
 }
 
 /// The live pipeline state of one partition on this rank, between
@@ -312,56 +443,9 @@ impl PartitionRun {
         coalesce: Option<&Arc<CoalescePlan>>,
         stats: &mut IoStats,
     ) -> PartitionRun {
-        let b = cfg.buffer_size as usize;
         #[allow(unused_mut)]
-        let (pcomm, agg_idx, my_cost, mut win, coalesce) = match cache {
-            Some(c) => (c.pcomm, c.agg_idx, c.my_cost, c.win, c.coalesce),
-            None => {
-                let pcomm = comm.subgroup(&part.members, subgroup_key(epoch, part.index));
-                let my_idx = pcomm.rank();
-
-                // Aggregator election: my cost, MINLOC across the
-                // partition.
-                let io = topo.io_nodes_for(&part.members).first().copied().unwrap_or(0);
-                let my_cost = election_cost(
-                    topo,
-                    &part.members,
-                    &part.member_bytes,
-                    io,
-                    part.index,
-                    cfg.strategy,
-                    my_idx,
-                );
-                let (_, agg_idx) = pcomm.allreduce_min_loc(my_cost);
-                // One pane per pipeline slot: a flush draining slot A
-                // in place coexists with round r+1's puts filling
-                // slot B instead of serializing on one region lock.
-                let win = Window::allocate_paned(
-                    &pcomm,
-                    if my_idx == agg_idx { 2 * b } else { 0 },
-                    b,
-                );
-                let ctx = coalesce.and_then(|plan| {
-                    if !plan.runs().iter().any(|run| run.partition == part.index) {
-                        return None;
-                    }
-                    // Collective pair: every member agrees on whether
-                    // the partition has runs (the plan is pure shared
-                    // data) and passes through both allocations.
-                    let leads = plan.runs().iter().any(|run| {
-                        run.partition == part.index && run.leader == part.members[my_idx]
-                    });
-                    let gather = Window::allocate_paned(
-                        &pcomm,
-                        if leads { b } else { 0 },
-                        (b / 16).max(64),
-                    );
-                    let board = DepositBoard::allocate(&pcomm);
-                    Some(GatherCtx { plan: Arc::clone(plan), gather, board })
-                });
-                (pcomm, agg_idx, my_cost, win, ctx)
-            }
-        };
+        let CachedPart { pcomm, agg_idx, my_cost, mut win, coalesce } = cache
+            .unwrap_or_else(|| CachedPart::form(comm, part, cfg, topo, epoch, coalesce));
         let my_idx = pcomm.rank();
         stats.partitions += 1;
         if my_idx == agg_idx {
@@ -806,72 +890,27 @@ pub fn run_write_pipeline(
     Ok(stats)
 }
 
-/// Run the two-phase *read* pipeline: aggregators read each round's
-/// segments from the file into their window buffer; members fetch their
-/// chunks with one-sided `get`s. Returns one buffer per declared var.
-///
-/// Reads use a single buffer (no flush to overlap with); the paper's
-/// machinery — partitions, election, rounds, fences — is identical.
-/// Faults are not injected on the read path.
-pub fn run_read_pipeline(
-    comm: &Comm,
-    schedule: &Schedule,
-    var_lens: &[u64],
-    file: &SharedFile,
-    cfg: &TapiocaConfig,
-    topo: &dyn TopologyProvider,
-    epoch: u64,
-) -> Result<Vec<Vec<u8>>> {
-    let me = comm.rank();
-    let b = cfg.buffer_size as usize;
-    let mut out: Vec<Vec<u8>> = var_lens.iter().map(|&l| vec![0u8; l as usize]).collect();
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tapioca_mpi::Runtime;
 
-    for part in &schedule.partitions {
-        if part.members.binary_search(&me).is_err() {
-            continue;
-        }
-        let pcomm = comm.subgroup(&part.members, subgroup_key(epoch, part.index));
-        let my_idx = pcomm.rank();
-        let io = topo.io_nodes_for(&part.members).first().copied().unwrap_or(0);
-        let my_cost = election_cost(
-            topo,
-            &part.members,
-            &part.member_bytes,
-            io,
-            part.index,
-            cfg.strategy,
-            my_idx,
-        );
-        let (_, agg_idx) = pcomm.allreduce_min_loc(my_cost);
-        let win = Window::allocate(&pcomm, if my_idx == agg_idx { b } else { 0 });
-
-        let my_chunks: Vec<_> = schedule.chunks_by_rank[me]
-            .iter()
-            .filter(|c| c.partition == part.index)
-            .collect();
-
-        for (r, round) in part.rounds.iter().enumerate() {
-            if my_idx == agg_idx {
-                for seg in &round.segments {
-                    let data = file
-                        .read_at(seg.file_offset, seg.len as usize)
-                        .map_err(|e| io_err("read_at", e))?;
-                    win.write_local(my_idx, seg.buf_offset as usize, &data);
-                }
-            }
-            win.fence(&pcomm);
-            for c in my_chunks.iter().filter(|c| c.round as usize == r) {
-                // One-sided read straight into the output buffer — no
-                // intermediate Vec per chunk.
-                win.get_into(
-                    agg_idx,
-                    c.buf_offset as usize,
-                    &mut out[c.var][c.var_offset as usize..(c.var_offset + c.len) as usize],
-                );
-            }
-            win.fence(&pcomm);
-        }
-        pcomm.barrier();
+    #[test]
+    fn failed_flush_falls_back_to_a_direct_write_from_the_window() {
+        let path = std::env::temp_dir()
+            .join(format!("tapioca-settle-fallback-{}", std::process::id()));
+        Runtime::run(1, |comm| {
+            let file = SharedFile::open_shared(&comm, &path);
+            // Two 8-byte slots; the segment sits in slot 1.
+            let win = Window::allocate_paned(&comm, 16, 8);
+            win.put(0, 8, &[1, 2, 3, 4, 5, 6, 7, 8]);
+            let seg = FlushSegment { file_offset: 4, len: 5, buf_offset: 2 };
+            let err = IoError::Timeout { op: "flush", waited: std::time::Duration::ZERO };
+            settle_parts(Some(err), seg, 1, &win, 0, 8, &file).unwrap();
+            settle_parts(None, FlushSegment { file_offset: 0, ..seg }, 0, &win, 0, 8, &file)
+                .unwrap();
+            assert_eq!(file.read_at(0, 9).unwrap(), [0, 0, 0, 0, 3, 4, 5, 6, 7]);
+        });
+        std::fs::remove_file(&path).ok();
     }
-    Ok(out)
 }

@@ -47,9 +47,7 @@ use std::sync::Arc;
 use tapioca_mpi::{Comm, SharedFile};
 use tapioca_topology::TopologyProvider;
 
-use crate::aggregation::{
-    run_read_pipeline, CachedPart, ChunkSource, IoStats, PartitionRun, RoundOutcome,
-};
+use crate::aggregation::{CachedPart, ChunkSource, IoStats, PartitionRun, RoundOutcome};
 use crate::config::TapiocaConfig;
 use crate::error::{io_err, Result, TapiocaError};
 use crate::placement::UniformTopology;
@@ -609,10 +607,18 @@ impl<'c> Session<'c> {
     /// buffer per declared write of this rank. Only valid *between*
     /// epochs (no partially-issued writes outstanding).
     ///
+    /// Each partition's read runs through the state the write epochs
+    /// cache (sub-communicator, aggregator, two-slot window), with the
+    /// file reads of round `r + 1` overlapping the `get`s of round `r`.
+    /// Without a cache — before the first epoch, or under a fault
+    /// plan — the read forms it through the write path's election
+    /// prologue, and keeps it for later epochs and reads when the
+    /// config is fault-free.
+    ///
     /// # Errors
     /// [`TapiocaError::InvalidConfig`] mid-epoch; [`TapiocaError::Io`]
     /// if an aggregator's file read fails.
-    pub fn read_declared(&self) -> Result<Vec<Vec<u8>>> {
+    pub fn read_declared(&mut self) -> Result<Vec<Vec<u8>>> {
         if self.issued != 0 {
             return Err(TapiocaError::InvalidConfig(format!(
                 "read_declared mid-epoch: {} of {} declared writes issued",
@@ -620,16 +626,27 @@ impl<'c> Session<'c> {
                 self.decls.len()
             )));
         }
-        let lens: Vec<u64> = self.decls.iter().map(|d| d.len).collect();
-        run_read_pipeline(
-            self.comm,
-            &self.schedule,
-            &lens,
-            &self.file,
-            &self.cfg,
-            self.topo.as_ref(),
-            self.seq * 2 + 1,
-        )
+        let mut out: Vec<Vec<u8>> = self.decls.iter().map(|d| vec![0u8; d.len as usize]).collect();
+        let b = self.cfg.buffer_size as usize;
+        for (pslot, pp) in self.plan.parts.iter().enumerate() {
+            let part = &self.schedule.partitions[pp.part_index];
+            let cached = self.cache[pslot].take().unwrap_or_else(|| {
+                CachedPart::form(
+                    self.comm,
+                    part,
+                    &self.cfg,
+                    self.topo.as_ref(),
+                    self.seq * 2 + 1,
+                    self.coalesce.as_ref(),
+                )
+            });
+            let read = cached.read_rounds(part, &pp.chunks, &self.file, b, &mut out);
+            if self.cfg.faults.is_none() {
+                self.cache[pslot] = Some(cached);
+            }
+            read?;
+        }
+        Ok(out)
     }
 
     /// Finish the session.

@@ -184,6 +184,14 @@ impl Comm {
         self.shared.uid
     }
 
+    /// Number of shared objects (sub-communicators, windows, deposit
+    /// boards, files) the world's registry holds. Tests use it to check
+    /// that a cached code path creates nothing new.
+    #[cfg(any(test, feature = "test-util"))]
+    pub fn world_registry_len(&self) -> usize {
+        crate::lock_ok(&self.world.registry).len()
+    }
+
     pub(crate) fn next_win_seq(&self) -> u64 {
         let s = self.win_calls.get();
         self.win_calls.set(s + 1);

@@ -499,8 +499,15 @@ impl SharedFile {
     /// Blocking positioned read of exactly `len` bytes.
     pub fn read_at(&self, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
         let mut buf = vec![0u8; len];
-        self.inner.file.read_exact_at(&mut buf, offset)?;
+        self.read_into(offset, &mut buf)?;
         Ok(buf)
+    }
+
+    /// Blocking positioned read filling all of `out` — the
+    /// allocation-free variant, e.g. straight into a window slot
+    /// through [`crate::Window::fill_local`].
+    pub fn read_into(&self, offset: u64, out: &mut [u8]) -> std::io::Result<()> {
+        self.inner.file.read_exact_at(out, offset)
     }
 
     /// Current file length in bytes.
@@ -543,6 +550,10 @@ mod tests {
         let f = SharedFile::create(tmp("rt")).unwrap();
         f.write_at(10, b"hello").unwrap();
         assert_eq!(f.read_at(10, 5).unwrap(), b"hello");
+        let mut out = [0u8; 3];
+        f.read_into(11, &mut out).unwrap();
+        assert_eq!(&out, b"ell");
+        assert!(f.read_into(14, &mut out).is_err(), "short read is an error");
         assert_eq!(f.len().unwrap(), 15);
         assert!(!f.is_empty().unwrap());
     }

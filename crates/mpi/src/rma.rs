@@ -17,6 +17,7 @@
 //! not model) but never correctness. Lock release/acquire provides the
 //! happens-before edges the fence semantics require.
 
+use std::convert::Infallible;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use crate::comm::{Comm, RegistryKind};
@@ -27,8 +28,9 @@ use crate::Rank;
 use tapioca_trace::TraceScope;
 
 /// One member's window region: `len` bytes split into panes of
-/// `pane_size` bytes each (the last pane may be shorter). Offsets are
-/// linear; accesses crossing a pane boundary are split transparently.
+/// `pane_size` bytes each (the last pane may be shorter; `0` means one
+/// pane spanning the region). Offsets are linear; accesses crossing a
+/// pane boundary are split transparently.
 struct Region {
     pane_size: usize,
     len: usize,
@@ -37,7 +39,7 @@ struct Region {
 
 impl Region {
     fn new(len: usize, pane_size: usize) -> Region {
-        let pane_size = pane_size.max(1).min(len.max(1));
+        let pane_size = if pane_size == 0 { len } else { pane_size.min(len) }.max(1);
         let panes = (0..len.div_ceil(pane_size))
             .map(|i| {
                 let plen = pane_size.min(len - i * pane_size);
@@ -59,30 +61,45 @@ impl Region {
 
     /// Copy `data` into the region at `offset`, pane by pane.
     fn write(&self, offset: usize, data: &[u8]) {
-        self.check_bounds("put", offset, data.len());
         let mut done = 0;
-        while done < data.len() {
-            let pos = offset + done;
-            let (p, po) = (pos / self.pane_size, pos % self.pane_size);
-            let take = (self.pane_size - po).min(data.len() - done);
-            let mut pane = self.panes[p].write().expect("RMA pane lock poisoned");
-            pane[po..po + take].copy_from_slice(&data[done..done + take]);
-            done += take;
-        }
+        let Ok(()) = self.fill_parts("put", offset, data.len(), |dst| {
+            dst.copy_from_slice(&data[done..done + dst.len()]);
+            done += dst.len();
+            Ok::<(), Infallible>(())
+        });
     }
 
     /// Copy `out.len()` bytes from the region at `offset`, pane by pane.
     fn read(&self, op: &str, offset: usize, out: &mut [u8]) {
-        self.check_bounds(op, offset, out.len());
         let mut done = 0;
-        while done < out.len() {
+        let Ok(()) = self.for_parts(op, offset, out.len(), |src| {
+            out[done..done + src.len()].copy_from_slice(src);
+            done += src.len();
+            Ok::<(), Infallible>(())
+        });
+    }
+
+    /// Run `f` over the range `[offset, offset + len)` as a sequence of
+    /// write-locked contiguous parts (one per touched pane), for callers
+    /// that produce the bytes in place (e.g. a positioned file read).
+    fn fill_parts<E>(
+        &self,
+        op: &str,
+        offset: usize,
+        len: usize,
+        mut f: impl FnMut(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.check_bounds(op, offset, len);
+        let mut done = 0;
+        while done < len {
             let pos = offset + done;
             let (p, po) = (pos / self.pane_size, pos % self.pane_size);
-            let take = (self.pane_size - po).min(out.len() - done);
-            let pane = self.panes[p].read().expect("RMA pane lock poisoned");
-            out[done..done + take].copy_from_slice(&pane[po..po + take]);
+            let take = (self.pane_size - po).min(len - done);
+            let mut pane = self.panes[p].write().expect("RMA pane lock poisoned");
+            f(&mut pane[po..po + take])?;
             done += take;
         }
+        Ok(())
     }
 
     /// Run `f` over the range `[offset, offset + len)` as a sequence of
@@ -191,15 +208,20 @@ impl Window {
     /// All members must call this the same number of times in the same
     /// order (it is a collective).
     pub fn allocate(comm: &Comm, local_size: usize) -> Window {
-        Self::allocate_paned(comm, local_size, local_size)
+        Self::allocate_paned(comm, local_size, 0)
     }
 
     /// [`Window::allocate`] with regions split into panes of `pane_size`
-    /// bytes (same pane size on every member; `0` means one pane).
-    /// Accesses remain linear-offset addressed; only lock granularity
-    /// changes: accesses to different panes never contend, so an
-    /// aggregator's two pipeline buffers (two panes) can be filled and
-    /// drained concurrently.
+    /// bytes (`0` means one pane per region). Accesses remain
+    /// linear-offset addressed; only lock granularity changes: accesses
+    /// to different panes never contend, so an aggregator's two
+    /// pipeline buffers (two panes) can be filled and drained
+    /// concurrently.
+    ///
+    /// Every member must pass the same `pane_size`: whichever member
+    /// reaches the registry first lays out *all* regions, so the layout
+    /// may only depend on values the members agree on (the allgathered
+    /// sizes and this argument).
     pub fn allocate_paned(comm: &Comm, local_size: usize, pane_size: usize) -> Window {
         let sizes = comm.allgather_u64(local_size as u64);
         let seq = comm.next_win_seq();
@@ -281,24 +303,15 @@ impl Window {
         let dst = &self.shared.regions[target];
         dst.check_bounds("put", offset, len);
         let mut done = 0;
-        src.shared.regions[src_rank]
-            .for_parts("get", src_offset, len, |part| {
-                dst.write(offset + done, part);
-                done += part.len();
-                Ok::<(), std::convert::Infallible>(())
-            })
-            .unwrap();
+        let Ok(()) = src.shared.regions[src_rank].for_parts("get", src_offset, len, |part| {
+            dst.write(offset + done, part);
+            done += part.len();
+            Ok::<(), Infallible>(())
+        });
         #[cfg(feature = "trace")]
         if let Some(scope) = &self.scope {
             scope.rma_put_coalesced(lane, target, offset as u64, len as u64, coalesced);
         }
-    }
-
-    /// Read a member's region into a caller-provided buffer —
-    /// the allocation-free variant for drain loops that recycle flush
-    /// buffers. Reads `out.len()` bytes starting at `offset`.
-    pub fn read_local_into(&self, me: Rank, offset: usize, out: &mut [u8]) {
-        self.shared.regions[me].read("read", offset, out);
     }
 
     /// A refcounted in-place view of `len` bytes of `rank`'s region at
@@ -317,10 +330,23 @@ impl Window {
         self.shared.regions[rank].len
     }
 
-    /// Write into this member's *own* region (used by aggregators to
-    /// stage data read from a file before members `get` it).
-    pub fn write_local(&self, me: Rank, offset: usize, data: &[u8]) {
-        self.put(me, offset, data);
+    /// Produce `len` bytes of this member's *own* region at `offset` in
+    /// place: `f` receives the range as write-locked contiguous parts
+    /// (one per touched pane) and fills each, stopping at the first
+    /// error. Aggregators read file data straight into a window slot
+    /// with this before members `get` it — no staging buffer. Untraced
+    /// and unperturbed: a local store, not an RMA operation.
+    ///
+    /// # Panics
+    /// Panics if the range exceeds the region.
+    pub fn fill_local<E>(
+        &self,
+        me: Rank,
+        offset: usize,
+        len: usize,
+        f: impl FnMut(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.shared.regions[me].fill_parts("fill", offset, len, f)
     }
 
     /// One-sided read into a caller-provided buffer (MPI_Get
@@ -345,11 +371,21 @@ impl Window {
     }
 }
 
-/// Allocating read of this member's *own* region — test-only
-/// conveniences; library drain paths use the `_into` variants or
-/// [`Window::segment`] views and never allocate per read.
+/// Direct reads of a member's region — test-only conveniences; library
+/// drain paths use [`Window::get_into`] or [`Window::segment`] views and
+/// never allocate per read.
 #[cfg(test)]
 impl Window {
+    /// Read `out.len()` bytes of member `me`'s region at `offset`.
+    pub fn read_local_into(&self, me: Rank, offset: usize, out: &mut [u8]) {
+        self.shared.regions[me].read("read", offset, out);
+    }
+
+    /// Number of independently locked panes of `rank`'s region.
+    pub fn pane_count(&self, rank: Rank) -> usize {
+        self.shared.regions[rank].panes.len()
+    }
+
     /// Read `len` bytes from this member's *own* region at `offset`.
     pub fn read_local(&self, me: Rank, offset: usize, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
@@ -508,6 +544,55 @@ mod tests {
             let win = Window::allocate(&c, (c.rank() + 1) * 8);
             assert_eq!(win.region_len(0), 8);
             assert_eq!(win.region_len(2), 24);
+            for r in 0..3 {
+                assert_eq!(win.pane_count(r), 1, "region {r}");
+            }
+            win.fence(&c);
+        });
+    }
+
+    #[test]
+    fn pane_layout_ignores_which_member_creates_the_window() {
+        // Whichever member reaches the registry first lays out every
+        // region; a layout derived from that member's own size would
+        // split the 1 MiB region into one-byte panes whenever the
+        // size-0 member wins. Many allocations make both orders occur.
+        const MIB: usize = 1 << 20;
+        run(2, |c| {
+            for _ in 0..64 {
+                let win = Window::allocate(&c, if c.rank() == 0 { MIB } else { 0 });
+                assert_eq!(win.pane_count(0), 1, "1 MiB region");
+                assert_eq!(win.pane_count(1), 0, "empty region");
+                win.fence(&c);
+            }
+        });
+    }
+
+    #[test]
+    fn fill_local_writes_in_place_across_panes() {
+        run(2, |c| {
+            let win = Window::allocate_paned(&c, if c.rank() == 0 { 20 } else { 0 }, 8);
+            if c.rank() == 0 {
+                assert_eq!(win.pane_count(0), 3);
+                let mut next = 0u8;
+                let mut parts = Vec::new();
+                win.fill_local(0, 6, 12, |part| {
+                    parts.push(part.len());
+                    for b in part {
+                        next += 1;
+                        *b = next;
+                    }
+                    Ok::<(), ()>(())
+                })
+                .unwrap();
+                assert_eq!(parts, vec![2, 8, 2], "pane-boundary split");
+                let err = win.fill_local(0, 0, 20, |_| Err("stop"));
+                assert_eq!(err, Err("stop"), "first error ends the fill");
+            }
+            win.fence(&c);
+            let mut got = [0u8; 12];
+            win.get_into(0, 6, &mut got);
+            assert_eq!(got.to_vec(), (1..=12u8).collect::<Vec<u8>>());
             win.fence(&c);
         });
     }

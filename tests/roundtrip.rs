@@ -1,10 +1,15 @@
 //! Cross-crate integration: end-to-end byte correctness of the TAPIOCA
 //! pipeline on the thread runtime, across configurations and workloads.
 
+use std::sync::Arc;
+
 use tapioca::prelude::*;
-use tapioca_mpi::{Runtime, SharedFile};
+use tapioca::{FaultPlan, FaultSpec};
+use tapioca_mpi::{Comm, Runtime, SharedFile};
+use tapioca_topology::{theta_profile, TopologyProvider};
 use tapioca_workloads::datagen::{expected_range, verify_slice};
 use tapioca_workloads::hacc::{HaccIo, Layout};
+use tapioca_workloads::ior::IorSpec;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("tapioca-integration");
@@ -201,6 +206,215 @@ fn repeated_operations_on_one_communicator() {
         let bytes = std::fs::read(path).unwrap();
         assert_eq!(verify_slice(epoch as u64, 0, &bytes), None, "epoch {epoch}");
         std::fs::remove_file(path).ok();
+    }
+}
+
+/// The read-path shapes, 8 ranks each: one IOR block per rank, and the
+/// nine HACC variables per rank in the SoA layout (every variable its
+/// own file region).
+fn read_shapes() -> [(&'static str, Vec<Vec<WriteDecl>>); 2] {
+    [
+        ("ior", IorSpec { num_ranks: 8, bytes_per_rank: 1500 }.decls()),
+        (
+            "hacc-soa",
+            HaccIo { num_ranks: 8, particles_per_rank: 30, layout: Layout::StructOfArrays }
+                .decls(),
+        ),
+    ]
+}
+
+/// Small buffers, so every partition runs many rounds through both
+/// window slots.
+fn read_cfg() -> TapiocaConfig {
+    TapiocaConfig { num_aggregators: 2, buffer_size: 384, ..Default::default() }
+}
+
+fn read_session<'c>(
+    comm: &'c Comm,
+    file: SharedFile,
+    decls: &[WriteDecl],
+    cfg: &TapiocaConfig,
+    topo: Option<&Arc<dyn TopologyProvider>>,
+) -> Session<'c> {
+    let b = Session::builder(comm, file).declarations(decls.to_vec()).config(cfg.clone());
+    match topo {
+        Some(t) => b.topology(Arc::clone(t)),
+        None => b,
+    }
+    .build()
+    .unwrap()
+}
+
+/// One epoch writing `seed`'s bytes at every declared extent.
+fn write_epoch(io: &mut Session<'_>, decls: &[WriteDecl], seed: u64) {
+    for d in decls {
+        io.write(d.offset, &expected_range(seed, d.offset, d.len as usize)).unwrap();
+    }
+}
+
+/// `read_declared` returns `seed`'s bytes at every declared extent.
+fn assert_read(io: &mut Session<'_>, decls: &[WriteDecl], seed: u64, what: &str) {
+    let back = io.read_declared().unwrap();
+    assert_eq!(back.len(), decls.len(), "{what}");
+    for (v, (d, got)) in decls.iter().zip(&back).enumerate() {
+        assert!(
+            *got == expected_range(seed, d.offset, d.len as usize),
+            "{what}: var {v} at offset {} differs",
+            d.offset
+        );
+    }
+}
+
+/// Run `body` on every rank of both read shapes, each rank with its
+/// comm, the shape's shared file, and its declarations; afterwards the
+/// file must hold the bytes of seed `final_seed`.
+fn on_read_shapes(
+    name: &str,
+    final_seed: u64,
+    body: impl Fn(&str, &Comm, SharedFile, &[WriteDecl]) + Sync,
+) {
+    for (shape, decls) in read_shapes() {
+        let path = tmp(&format!("{name}-{shape}"));
+        Runtime::run(decls.len(), |comm| {
+            let file = SharedFile::open_shared(&comm, &path);
+            body(shape, &comm, file, &decls[comm.rank()]);
+        });
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(verify_slice(final_seed, 0, &bytes), None, "{name}/{shape}: file on disk");
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn consecutive_reads_reuse_the_cached_partitions() {
+    on_read_shapes("reads-cached", 1, |shape, comm, file, decls| {
+        let mut io = read_session(comm, file, decls, &read_cfg(), None);
+        write_epoch(&mut io, decls, 1);
+        comm.barrier();
+        let shared = comm.world_registry_len();
+        for k in 0..3 {
+            assert_read(&mut io, decls, 1, &format!("{shape} read {k}"));
+        }
+        comm.barrier();
+        assert_eq!(
+            comm.world_registry_len(),
+            shared,
+            "{shape}: cached reads created subgroups or windows"
+        );
+        io.finalize();
+    });
+}
+
+#[test]
+fn read_before_any_epoch_forms_the_cache_for_later_epochs() {
+    on_read_shapes("read-first", 6, |shape, comm, file, decls| {
+        for d in decls {
+            file.write_at(d.offset, &expected_range(5, d.offset, d.len as usize)).unwrap();
+        }
+        comm.barrier();
+        let mut io = read_session(comm, file, decls, &read_cfg(), None);
+        assert_read(&mut io, decls, 5, &format!("{shape} read before any epoch"));
+        // The read formed every partition's state; the write epoch and
+        // the read after it run through it and create nothing new.
+        comm.barrier();
+        let shared = comm.world_registry_len();
+        write_epoch(&mut io, decls, 6);
+        assert_read(&mut io, decls, 6, &format!("{shape} read after the first epoch"));
+        comm.barrier();
+        assert_eq!(comm.world_registry_len(), shared, "{shape}: the read's cache was not reused");
+        io.finalize();
+    });
+}
+
+#[test]
+fn reads_under_a_fault_plan_form_partitions_afresh() {
+    let cfg = TapiocaConfig {
+        faults: Some(
+            FaultPlan::seeded(11)
+                .with(FaultSpec::AggregatorCrash { partition: 0, round: 1 })
+                .with(FaultSpec::TransientFlushError { probability: 0.2 }),
+        ),
+        ..read_cfg()
+    };
+    on_read_shapes("read-faults", 2, |shape, comm, file, decls| {
+        let mut io = read_session(comm, file, decls, &cfg, None);
+        write_epoch(&mut io, decls, 1);
+        assert_read(&mut io, decls, 1, &format!("{shape} first uncached read"));
+        assert_read(&mut io, decls, 1, &format!("{shape} second uncached read"));
+        write_epoch(&mut io, decls, 2);
+        assert_read(&mut io, decls, 2, &format!("{shape} read after the second epoch"));
+        io.finalize();
+    });
+}
+
+#[test]
+fn reads_with_coalescing_on() {
+    // Two ranks per node, so co-located puts merge on the write path;
+    // the read runs through the same cached partitions.
+    let topo: Arc<dyn TopologyProvider> = Arc::new(theta_profile(4, 2).machine);
+    let cfg = TapiocaConfig { coalescing: true, ..read_cfg() };
+    let merged = std::sync::atomic::AtomicU64::new(0);
+    on_read_shapes("read-coalesced", 2, |shape, comm, file, decls| {
+        let mut io = read_session(comm, file, decls, &cfg, Some(&topo));
+        write_epoch(&mut io, decls, 1);
+        merged.fetch_add(io.stats().unwrap().coalesced_puts, std::sync::atomic::Ordering::Relaxed);
+        assert_read(&mut io, decls, 1, &format!("{shape} coalesced read"));
+        write_epoch(&mut io, decls, 2);
+        assert_read(&mut io, decls, 2, &format!("{shape} coalesced read after a second epoch"));
+        io.finalize();
+    });
+    assert!(merged.into_inner() > 0, "the shapes exercised no merged puts");
+}
+
+#[test]
+fn write_read_write_read_alternates_payloads() {
+    on_read_shapes("w-r-w-r", 2, |shape, comm, file, decls| {
+        let mut io = read_session(comm, file, decls, &read_cfg(), None);
+        write_epoch(&mut io, decls, 1);
+        assert_read(&mut io, decls, 1, &format!("{shape} first payload"));
+        write_epoch(&mut io, decls, 2);
+        assert_read(&mut io, decls, 2, &format!("{shape} second payload"));
+        io.finalize();
+    });
+}
+
+#[cfg(feature = "trace")]
+#[test]
+fn epoch_traced_after_a_read_stays_protocol_clean() {
+    use tapioca_check::check;
+    use tapioca_trace::{Trace, TraceOp, Tracer};
+    for (shape, decls) in read_shapes() {
+        let tracer = Tracer::new(decls.len());
+        let cfg = TapiocaConfig { tracer: Some(Arc::clone(&tracer)), ..read_cfg() };
+        let path = tmp(&format!("read-traced-{shape}"));
+        // Rank 0 takes the trace of each phase between two barriers.
+        let take = |comm: &Comm| -> Option<Trace> {
+            comm.barrier();
+            let t = (comm.rank() == 0).then(|| tracer.drain());
+            comm.barrier();
+            t
+        };
+        let mut phases = Runtime::run(decls.len(), |comm| {
+            let file = SharedFile::open_shared(&comm, &path);
+            let mine = &decls[comm.rank()];
+            let mut io = read_session(&comm, file, mine, &cfg, None);
+            write_epoch(&mut io, mine, 1);
+            let first = take(&comm);
+            assert_read(&mut io, mine, 1, shape);
+            let read = take(&comm);
+            write_epoch(&mut io, mine, 2);
+            let second = take(&comm);
+            io.finalize();
+            [first, read, second]
+        });
+        let [first, read, second] = std::mem::take(&mut phases[0]).map(Option::unwrap);
+        assert!(read.is_empty(), "{shape}: the read recorded {} events", read.events().len());
+        for (name, t) in [("first", &first), ("after-read", &second)] {
+            assert!(t.events().iter().any(|e| e.op == TraceOp::Fence), "{shape}/{name}: no fences");
+            let v = check(t);
+            assert!(v.is_empty(), "{shape}/{name} epoch has violations: {v:?}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 }
 
