@@ -89,7 +89,7 @@ use tapioca_topology::TopologyProvider;
 use tapioca_trace::TraceScope;
 
 use crate::config::TapiocaConfig;
-use crate::error::{io_err, Result};
+use crate::error::{io_err, Result, TapiocaError};
 use crate::placement::election_cost;
 use crate::schedule::{
     compute_coalesce_plan, Chunk, CoalescePlan, FlushSegment, PartitionInfo, Schedule,
@@ -527,6 +527,7 @@ impl PartitionRun {
     #[allow(clippy::too_many_arguments)]
     fn forward_merged_runs(
         &self,
+        ctx: &GatherCtx,
         part: &PartitionInfo,
         r: usize,
         leader_global: Rank,
@@ -535,7 +536,6 @@ impl PartitionRun {
         b: usize,
         stats: &mut IoStats,
     ) {
-        let ctx = self.coalesce.as_ref().expect("completer fires only with coalescing active");
         for run in ctx.plan.runs_led_by(part.index, r as u32, leader_global) {
             self.win.put_from(
                 self.agg_idx,
@@ -632,13 +632,14 @@ impl PartitionRun {
         }
 
         let mut buf = (r - self.base) % 2;
+        let coalesce = self.coalesce.as_ref();
         for (i, c) in chunks.iter().enumerate() {
             if c.round as usize != r {
                 continue;
             }
             let data = src.chunk_data(i, c);
-            match self.coalesce.as_ref().and_then(|ctx| ctx.plan.run_for_chunk(c)) {
-                Some(run) => {
+            match coalesce.and_then(|ctx| ctx.plan.run_for_chunk(c).map(|run| (ctx, run))) {
+                Some((ctx, run)) => {
                     // Intra-node staging, not a wire op: deposit into
                     // the node leader's gather buffer and bump its
                     // deposit counter. Untraced — only the merged put
@@ -649,11 +650,12 @@ impl PartitionRun {
                     // count and forwards the leader's packed runs
                     // inline; nobody ever blocks on the board.
                     let leader_global = run.leader;
-                    let leader = part
-                        .members
-                        .binary_search(&leader_global)
-                        .expect("run leader is a partition member");
-                    let ctx = self.coalesce.as_ref().unwrap();
+                    let leader = part.members.binary_search(&leader_global).map_err(|_| {
+                        TapiocaError::InvalidConfig(format!(
+                            "coalescing run leader {leader_global} is not a member of partition {}",
+                            part.index
+                        ))
+                    })?;
                     ctx.gather.put(leader, c.buf_offset as usize, data);
                     stats.put_bytes += c.len;
                     stats.coalesced_chunks += 1;
@@ -664,7 +666,16 @@ impl PartitionRun {
                         .sum();
                     if ctx.board.add(leader, 1) == expected {
                         ctx.board.sub(leader, expected);
-                        self.forward_merged_runs(part, r, leader_global, leader, buf, b, stats);
+                        self.forward_merged_runs(
+                            ctx,
+                            part,
+                            r,
+                            leader_global,
+                            leader,
+                            buf,
+                            b,
+                            stats,
+                        );
                     }
                 }
                 None => {

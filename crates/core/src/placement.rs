@@ -152,25 +152,32 @@ pub fn elect_aggregator(
 }
 
 /// Node-folded election: same winner as [`elect_aggregator`], computed
-/// in O(nodes² + P) topology queries instead of O(P²).
+/// in O(nodes²) topology queries instead of O(P²).
 ///
 /// Under the block rank mapping (see
 /// [`TopologyProvider::ranks_per_node`]) both `d(i, A)` and `B(i -> A)`
-/// depend only on `node(i)` and `node(A)`, so the member sum of `C1`
-/// folds into a node sum over per-node member counts and weight totals,
-/// with every node-pair metric memoized in a [`NodeMetricCache`].
+/// depend only on `node(i)` and `node(A)`, so every metric the election
+/// needs is fetched once per node pair (memoized in a
+/// [`NodeMetricCache`]) into dense per-partition node tables, and the
+/// member sum of `C1` folds into a node sum over per-node member counts
+/// and weight totals. The node-only assumption of the cache carries both
+/// steps below.
 ///
 /// Folding reassociates the floating-point sum, so a folded cost can
 /// differ from the oracle's pairwise sum by a few ulps — enough to flip
 /// a MINLOC tie. To stay *bit-identical* to the oracle, the folded costs
 /// are only used to prune: every candidate whose folded cost window
 /// (`± fold_tolerance`, a rigorous bound on the divergence between the
-/// two summation orders) overlaps the best window is re-evaluated with
-/// [`election_cost`] — the oracle's exact arithmetic — and the winner is
-/// chosen among those survivors with oracle MINLOC semantics. The true
-/// winner always survives the prune, so the result is provably the
-/// oracle's (the property sweep in `tests/placement_equivalence.rs`
-/// exercises this across strategies, profiles, and partition shapes).
+/// two summation orders) overlaps the best window survives, and the
+/// survivors are replayed exactly from the tables: the same f64
+/// operands and operations as [`aggregation_cost`] + [`io_cost`], in the
+/// same order — one sequential sum from `0.0` per candidate (a lane),
+/// over the members in order, skipping the candidate itself. The winner
+/// is then chosen among the survivors with oracle MINLOC semantics. The
+/// true winner always survives the prune and its replayed cost is the
+/// oracle's to the bit, so the result is the oracle's (the property
+/// sweeps in `tests/placement_equivalence.rs` exercise this across
+/// strategies, profiles, partition shapes and true ties).
 pub fn elect_aggregator_fast(
     topo: &dyn TopologyProvider,
     members: &[Rank],
@@ -272,66 +279,34 @@ fn elect_folded(
     if p < FOLD_MIN_MEMBERS {
         return elect_aggregator(topo, members, weights, io, partition_index, strategy);
     }
-    let l = topo.latency();
+    let tables = NodeTables::build(topo, cache, members, weights, io);
+    let nn = tables.nn;
 
-    // Group members by node: per-node member count and weight total.
-    let mut node_slot: HashMap<NodeId, usize> = HashMap::new();
-    let mut slots: Vec<NodeId> = Vec::new();
-    let mut count: Vec<f64> = Vec::new();
-    let mut w_sum: Vec<f64> = Vec::new();
-    let mut member_slot: Vec<usize> = Vec::with_capacity(p);
-    for (&m, &w) in members.iter().zip(weights) {
-        let node = topo.node_of_rank(m);
-        let s = *node_slot.entry(node).or_insert_with(|| {
-            slots.push(node);
-            count.push(0.0);
-            w_sum.push(0.0);
-            slots.len() - 1
-        });
-        member_slot.push(s);
-        count[s] += 1.0;
-        w_sum[s] += w as f64;
-    }
-    let nn = slots.len();
-
-    // Same exact integer sum the oracle's `topo_aware_cost` performs.
-    let total: u64 = weights.iter().sum();
-
-    // Per candidate node: cross-node C1 contribution, intra-node
-    // bandwidth, C2, and the magnitude bound for the prune tolerance.
+    // Per candidate node: cross-node C1 contribution and intra-node
+    // bandwidth, folded over per-node member counts and weight totals.
     let mut cross = vec![0.0f64; nn];
-    let mut intra_bw = vec![0.0f64; nn];
-    let mut c2 = vec![0.0f64; nn];
-    for s in 0..nn {
-        intra_bw[s] = cache.pair(topo, slots[s], slots[s]).bw;
-        let mut acc = 0.0;
-        for t in 0..nn {
-            if t == s {
-                continue;
-            }
-            // Metrics for members on node `t` sending to a candidate on
-            // node `s` (directed, matching `B(i -> A)`).
-            let pm = cache.pair(topo, slots[t], slots[s]);
-            acc += count[t] * (l * pm.dist as f64) + w_sum[t] / pm.bw;
+    for (s, acc) in cross.iter_mut().enumerate() {
+        for t in (0..nn).filter(|&t| t != s) {
+            // Members on node `t` sending to a candidate on node `s`
+            // (directed, matching `B(i -> A)`).
+            let e = t * nn + s;
+            *acc += tables.count[t] * (tables.l * tables.dist[e]) + tables.w_sum[t] / tables.bw[e];
         }
-        cross[s] = acc;
-        let im = cache.io(topo, slots[s], io);
-        c2[s] = match (im.dist, im.bw) {
-            (Some(d), Some(bw)) => l * d as f64 + total as f64 / bw,
-            _ => 0.0,
-        };
     }
 
     // Folded signed cost per candidate, and the tightest upper bound on
     // any candidate's cost window.
-    let sign = if matches!(strategy, PlacementStrategy::WorstCase) { -1.0 } else { 1.0 };
+    let worst = matches!(strategy, PlacementStrategy::WorstCase);
+    let sign = if worst { -1.0 } else { 1.0 };
     let mut folded: Vec<f64> = Vec::with_capacity(p);
     let mut tol: Vec<f64> = Vec::with_capacity(p);
     let mut best_upper = f64::INFINITY;
     for (i, &w) in weights.iter().enumerate() {
-        let s = member_slot[i];
-        let f = cross[s] + (w_sum[s] - w as f64) / intra_bw[s] + c2[s];
-        let magnitude = cross[s] + w_sum[s] / intra_bw[s] + c2[s];
+        let s = tables.member_slot[i];
+        let intra_bw = tables.bw[s * nn + s];
+        let (w_sum, c2) = (tables.w_sum[s], tables.c2[s]);
+        let f = cross[s] + (w_sum - w as f64) / intra_bw + c2;
+        let magnitude = cross[s] + w_sum / intra_bw + c2;
         let d = fold_tolerance(p, magnitude);
         let fs = sign * f;
         if fs + d < best_upper {
@@ -344,16 +319,171 @@ fn elect_folded(
     // Prune, then replay the oracle's arithmetic on the survivors. The
     // oracle winner's window always overlaps `best_upper`, so it is in
     // the survivor set and the ascending MINLOC scan returns it.
+    let survivors: Vec<usize> = (0..p).filter(|&i| folded[i] - tol[i] <= best_upper).collect();
+    let costs = tables.exact_costs(weights, &survivors, worst);
     let mut best = (f64::INFINITY, usize::MAX);
-    for i in 0..p {
-        if folded[i] - tol[i] <= best_upper {
-            let c = election_cost(topo, members, weights, io, partition_index, strategy, i);
-            if c < best.0 || (c == best.0 && i < best.1) {
-                best = (c, i);
-            }
+    for (&i, &c) in survivors.iter().zip(&costs) {
+        if c < best.0 || (c == best.0 && i < best.1) {
+            best = (c, i);
         }
     }
     best.1
+}
+
+/// Every member's [`election_cost`], bit for bit, in member order.
+///
+/// The topology-aware strategies (`TopologyAware`, `WorstCase`) read
+/// their metrics from the partition's node tables — one topology query
+/// pair per distinct node pair, memoized in `cache` — instead of the
+/// O(P) queries per candidate the oracle makes; the other strategies
+/// are O(1) per candidate and call [`election_cost`] directly. Used for
+/// the standby of a crashed aggregator, which needs every candidate's
+/// exact cost. The cache must only ever be used with one topology.
+pub fn election_costs(
+    topo: &dyn TopologyProvider,
+    cache: &mut NodeMetricCache,
+    members: &[Rank],
+    weights: &[u64],
+    io: IoNodeId,
+    partition_index: usize,
+    strategy: PlacementStrategy,
+) -> Vec<f64> {
+    assert_eq!(members.len(), weights.len());
+    match strategy {
+        PlacementStrategy::TopologyAware | PlacementStrategy::WorstCase => {
+            let all: Vec<usize> = (0..members.len()).collect();
+            let worst = matches!(strategy, PlacementStrategy::WorstCase);
+            NodeTables::build(topo, cache, members, weights, io).exact_costs(weights, &all, worst)
+        }
+        _ => (0..members.len())
+            .map(|c| election_cost(topo, members, weights, io, partition_index, strategy, c))
+            .collect(),
+    }
+}
+
+/// One partition's node-level metrics, dense and slot-indexed: members
+/// are grouped by node (slots numbered in order of first appearance),
+/// and every `(t, s)` node-pair metric and per-node `C2` is fetched
+/// once through the [`NodeMetricCache`].
+struct NodeTables {
+    /// Latency `l` of the machine.
+    l: f64,
+    /// Number of distinct nodes (slots).
+    nn: usize,
+    /// Node slot of each member, in member order.
+    member_slot: Vec<usize>,
+    /// Members per slot.
+    count: Vec<f64>,
+    /// Weight total per slot.
+    w_sum: Vec<f64>,
+    /// `d(t -> s)` as f64, at `t * nn + s`.
+    dist: Vec<f64>,
+    /// `B(t -> s)`, at `t * nn + s`.
+    bw: Vec<f64>,
+    /// `C2` of a candidate on each slot.
+    c2: Vec<f64>,
+}
+
+impl NodeTables {
+    fn build(
+        topo: &dyn TopologyProvider,
+        cache: &mut NodeMetricCache,
+        members: &[Rank],
+        weights: &[u64],
+        io: IoNodeId,
+    ) -> Self {
+        let mut node_slot: HashMap<NodeId, usize> = HashMap::new();
+        let mut slots: Vec<NodeId> = Vec::new();
+        let mut count: Vec<f64> = Vec::new();
+        let mut w_sum: Vec<f64> = Vec::new();
+        let mut member_slot: Vec<usize> = Vec::with_capacity(members.len());
+        for (&m, &w) in members.iter().zip(weights) {
+            let node = topo.node_of_rank(m);
+            let s = *node_slot.entry(node).or_insert_with(|| {
+                slots.push(node);
+                count.push(0.0);
+                w_sum.push(0.0);
+                slots.len() - 1
+            });
+            member_slot.push(s);
+            count[s] += 1.0;
+            w_sum[s] += w as f64;
+        }
+        let nn = slots.len();
+        let mut dist = Vec::with_capacity(nn * nn);
+        let mut bw = Vec::with_capacity(nn * nn);
+        for &t in &slots {
+            for &s in &slots {
+                let pm = cache.pair(topo, t, s);
+                dist.push(pm.dist as f64);
+                bw.push(pm.bw);
+            }
+        }
+        // The same operations `io_cost` performs, on the same operands.
+        let l = topo.latency();
+        let total: u64 = weights.iter().sum();
+        let c2 = slots
+            .iter()
+            .map(|&s| {
+                let im = cache.io(topo, s, io);
+                match (im.dist, im.bw) {
+                    (Some(d), Some(bw)) => l * d as f64 + total as f64 / bw,
+                    _ => 0.0,
+                }
+            })
+            .collect();
+        NodeTables { l, nn, member_slot, count, w_sum, dist, bw, c2 }
+    }
+
+    /// The exact signed cost of each candidate in `cands` (ascending,
+    /// distinct member indices), parallel to `cands`.
+    ///
+    /// Bit-identical to [`election_cost`]: for a candidate on slot `s`
+    /// the term of member `i` is `l * d + w_i / B` with the oracle's
+    /// operands (read from the tables), and `C1` is one left-to-right
+    /// sum from `0.0` over the members in order, skipping the candidate
+    /// itself — the order of [`aggregation_cost`]. Candidates sharing a
+    /// slot share the term vector and are summed together, one lane
+    /// each; then `C2` is added and `WorstCase` negates.
+    fn exact_costs(&self, weights: &[u64], cands: &[usize], worst: bool) -> Vec<f64> {
+        let nn = self.nn;
+        let mut by_slot: Vec<Vec<usize>> = vec![Vec::new(); nn];
+        for (k, &c) in cands.iter().enumerate() {
+            by_slot[self.member_slot[c]].push(k);
+        }
+        let mut costs = vec![0.0f64; cands.len()];
+        let mut term = vec![0.0f64; weights.len()];
+        let mut lanes: Vec<f64> = Vec::new();
+        for (s, ks) in by_slot.iter().enumerate().filter(|(_, ks)| !ks.is_empty()) {
+            for ((t, &w), &ms) in term.iter_mut().zip(weights).zip(&self.member_slot) {
+                let e = ms * nn + s;
+                *t = self.l * self.dist[e] + w as f64 / self.bw[e];
+            }
+            lanes.clear();
+            lanes.resize(ks.len(), 0.0);
+            // `own` walks the lanes' own member indices, ascending.
+            let mut own = 0;
+            for (i, &t) in term.iter().enumerate() {
+                if ks.get(own).is_some_and(|&k| cands[k] == i) {
+                    for (j, a) in lanes.iter_mut().enumerate() {
+                        if j != own {
+                            *a += t;
+                        }
+                    }
+                    own += 1;
+                } else {
+                    for a in lanes.iter_mut() {
+                        *a += t;
+                    }
+                }
+            }
+            for (&k, &c1) in ks.iter().zip(&lanes) {
+                let c = c1 + self.c2[s];
+                costs[k] = if worst { -c } else { c };
+            }
+        }
+        costs
+    }
 }
 
 /// One partition's election inputs, borrowed from the schedule.
@@ -369,9 +499,14 @@ pub struct PartitionElection<'a> {
     pub partition_index: usize,
 }
 
-/// Pairwise-equivalent work (`sum of members²`) above which a batch of
-/// elections is worth fanning out across threads.
-const PARALLEL_ELECTION_WORK: usize = 1 << 20;
+/// Member slots (`sum of members`) from which a batch of elections is
+/// worth fanning out across threads. Measured on a 2-vCPU host with
+/// the paper-scale shapes (Mira IOR, 128-member partitions; Theta HACC,
+/// 683-member partitions): fanned-out and serial batches broke even
+/// near 1,024 slots (~0.4 ms serial), and at 2,048 the fan-out was
+/// already ~1.3x faster; whole runs (32,768 and 65,536 slots) gained
+/// 1.6–1.9x.
+const PARALLEL_ELECTION_WORK: usize = 1 << 11;
 
 /// Elect aggregators for a batch of independent partitions using the
 /// fast path, sharing one metric cache when run serially and fanning
@@ -400,7 +535,7 @@ pub fn elect_partitions(
             })
             .collect::<Vec<usize>>()
     };
-    let work: usize = parts.iter().map(|p| p.members.len() * p.members.len()).sum();
+    let work: usize = parts.iter().map(|p| p.members.len()).sum();
     let threads = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     if parts.len() < 2 || threads < 2 || work < PARALLEL_ELECTION_WORK {
         return elect_chunk(parts);

@@ -13,12 +13,13 @@ use tapioca_pfs::{
     PlannedFlow,
 };
 use tapioca_topology::{
-    LinkIx, Machine, MachineProfile, NodeId, Rank, StorageProfile, TopologyProvider,
+    LinkIx, Machine, MachineProfile, NodeId, NodeMetricCache, Rank, StorageProfile,
+    TopologyProvider,
 };
 
 use crate::config::TapiocaConfig;
 use crate::error::{Result, TapiocaError};
-use crate::placement::{elect_partitions, election_cost, PartitionElection};
+use crate::placement::{elect_partitions, election_costs, PartitionElection};
 use crate::plan::{append_tapioca_plan, ExecutionPlan, OpKind, PlanCrash, TapiocaPlanInput};
 use crate::schedule::{compute_schedule, Schedule, ScheduleParams, WriteDecl};
 
@@ -586,9 +587,12 @@ pub(crate) fn plan_group(
     // standby is the argmin of the same election cost with the dead
     // candidate excluded, ties to the lowest index — bit-identical
     // to the thread runtime's MINLOC with an infinite cost entry.
+    // Every candidate's exact cost is evaluated once, from the
+    // partition's node tables (see `election_costs`).
     // A partition that degrades at or before the crash round never
     // reaches the crash (thread mode breaks out of the round loop
     // first), so the crash is dropped there too.
+    let mut cache = NodeMetricCache::new();
     let crashes: Vec<PlanCrash> = match (&cfg.faults, mode) {
         (Some(fp), AccessMode::Write) => sched
             .partitions
@@ -602,22 +606,18 @@ pub(crate) fn plan_group(
                     return None;
                 }
                 let chosen = choices[part.index];
-                let standby = (0..part.members.len())
+                let costs = election_costs(
+                    machine,
+                    &mut cache,
+                    &members_global[part.index],
+                    &part.member_bytes,
+                    io,
+                    part.index,
+                    cfg.strategy,
+                );
+                let standby = (0..costs.len())
                     .filter(|&idx| idx != chosen)
-                    .min_by(|&a, &b| {
-                        let cost = |idx: usize| {
-                            election_cost(
-                                machine,
-                                &members_global[part.index],
-                                &part.member_bytes,
-                                io,
-                                part.index,
-                                cfg.strategy,
-                                idx,
-                            )
-                        };
-                        cost(a).total_cmp(&cost(b))
-                    })?;
+                    .min_by(|&a, &b| costs[a].total_cmp(&costs[b]))?;
                 Some(PlanCrash { partition: part.index, round: cr, standby })
             })
             .collect(),
@@ -837,6 +837,60 @@ mod tests {
         CollectiveSpec {
             groups: vec![GroupSpec { file: 0, ranks, decls }],
             mode: AccessMode::Write,
+        }
+    }
+
+    /// The crash standby comes from the node-table costs; it must be
+    /// the pairwise oracle's argmin (dead aggregator excluded, ties to
+    /// the lowest index) on a tie-heavy shape: a 683-member Theta
+    /// partition with uniform weights, where `C2 = 0` and dragonfly
+    /// symmetry give many candidates the same cost.
+    #[test]
+    fn crash_standby_matches_the_pairwise_oracle_argmin() {
+        use crate::placement::election_cost;
+        use tapioca_mpi::FaultSpec;
+
+        let profile = theta_profile(128, 16);
+        let spec = theta_spec(128, 16, MIB);
+        let group = &spec.groups[0];
+        let io = profile.machine.io_nodes_for(&group.ranks)[0];
+        for strategy in [PlacementStrategy::TopologyAware, PlacementStrategy::WorstCase] {
+            let cfg = TapiocaConfig {
+                num_aggregators: 3,
+                buffer_size: 4 * MIB,
+                strategy,
+                faults: Some(
+                    FaultPlan::seeded(5).with(FaultSpec::AggregatorCrash { partition: 1, round: 1 }),
+                ),
+                ..Default::default()
+            };
+            let plan = plan_group(&profile.machine, group, &cfg, AccessMode::Write).unwrap();
+            assert_eq!(plan.crashes.len(), 1);
+            let crash = &plan.crashes[0];
+            let part = &plan.sched.partitions[crash.partition];
+            let members = &plan.members_global[crash.partition];
+            assert!(members.len() >= 683, "{} members", members.len());
+            let costs: Vec<f64> = (0..members.len())
+                .map(|c| {
+                    election_cost(
+                        &profile.machine,
+                        members,
+                        &part.member_bytes,
+                        io,
+                        part.index,
+                        strategy,
+                        c,
+                    )
+                })
+                .collect();
+            let chosen = plan.choices[crash.partition];
+            let oracle = (0..members.len())
+                .filter(|&i| i != chosen)
+                .min_by(|&a, &b| costs[a].total_cmp(&costs[b]))
+                .unwrap();
+            assert_eq!(crash.standby, oracle, "{strategy:?}");
+            let ties = costs.iter().filter(|&&c| c == costs[oracle]).count();
+            assert!(ties > 1, "{strategy:?}: the shape must tie the standby's cost");
         }
     }
 
